@@ -92,12 +92,3 @@ class FairnessMethod:
                 c.label: c.disparity(dataset.y, pred) for c in constraints
             },
         }
-
-    @staticmethod
-    def _two_group_indices(dataset):
-        """Indices of the first two sensitive groups (g1, g2)."""
-        g1 = np.nonzero(dataset.sensitive == 0)[0]
-        g2 = np.nonzero(dataset.sensitive == 1)[0]
-        if len(g1) == 0 or len(g2) == 0:
-            raise ValueError("dataset must contain both groups 0 and 1")
-        return g1, g2

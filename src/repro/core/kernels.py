@@ -467,7 +467,8 @@ class CompiledEvaluator:
     re-evaluations, cache-hit candidates inside grids).  ``stats`` is an
     optional ``{"hits": int, "lookups": int}`` dict — pass the owning
     fitter's ``eval_stats`` so the search can surface hit counts through
-    :class:`~repro.core.report.FitReport`.
+    :class:`~repro.core.report.FitReport`.  Chunked population scoring
+    bypasses the cache, the store and ``stats`` (:meth:`score_models_batch`).
 
     ``store`` adds a persistent :class:`~repro.store.CacheStore` layer
     under the memory cache (injected by ``Engine(store_dir=...)``): a
@@ -563,21 +564,12 @@ class CompiledEvaluator:
         self.stats["store_hits"] = self.stats.get("store_hits", 0) + 1
         return np.asarray(entry[0], dtype=np.float64), float(entry[1])
 
-    def _store_put(self, dig, disparities, accuracy):
-        self.store.put(
-            "eval", self._store_key(dig), (disparities, float(accuracy)),
-        )
-
     def _store_key(self, dig):
         return hashlib.sha1(
             self._binding.encode() + dig
         ).hexdigest()
 
     # -- scoring -------------------------------------------------------------
-
-    # kept as a staticmethod alias: external callers/tests reach the
-    # division helper through the evaluator class
-    _safe_div = staticmethod(_safe_div)
 
     def _side_values(self, side, pos_counts):
         """Rates for one group side from the positive-prediction counts.
@@ -718,9 +710,9 @@ class CompiledEvaluator:
                 filled[b] = True
                 if len(cache) >= EVAL_CACHE_MAX:
                     cache.pop(next(iter(cache)))
-                cache[digests[b]] = (new_d[j].copy(), float(new_a[j]))
+                entry = cache[digests[b]] = (new_d[j].copy(), float(new_a[j]))
                 if self.store is not None:
-                    self._store_put(digests[b], new_d[j].copy(), new_a[j])
+                    self.store.put("eval", self._store_key(digests[b]), entry)
         for b in np.nonzero(~filled)[0]:         # in-batch duplicate rows
             j = fresh[digests[b]]
             disparities[b], accuracies[b] = disparities[j], accuracies[j]
@@ -750,13 +742,15 @@ class CompiledEvaluator:
         straight into the count accumulators, so peak memory holds one
         ``(B, block)`` prediction slab instead of the full stacked
         matrix.  Disparities and accuracies equal
-        :meth:`score_batch` of the stacked predictions **bit for bit**
-        (integer-count accumulation), and the per-candidate SHA1 is
-        computed incrementally over the same bytes, so the score cache
-        stays coherent between the streaming and in-memory paths.
+        :meth:`score_batch` of the stacked block predictions **bit for
+        bit** (integer-count accumulation).
 
-        Falls back to the in-memory path when chunking is off, the
-        split is a single block, or any constraint needs the full
+        The streaming pass bypasses the score cache, the eval store and
+        ``stats``: it reduces the counts before a prediction digest could
+        exist, so a lookup could only return what it just computed.
+
+        Falls back to the memoized in-memory path when chunking is off,
+        the split is a single block, or any constraint needs the full
         prediction vector (custom-metric fallback).
         """
         X = np.asarray(X, dtype=np.float64)
@@ -781,44 +775,19 @@ class CompiledEvaluator:
         S = self._mask_matrix.shape[1]
         pos_counts = np.zeros((B, S), dtype=np.float64)
         correct = np.zeros(B, dtype=np.float64)
-        hashers = [hashlib.sha1() for _ in range(B)]
         for start in range(0, self.n, chunk):
             stop = min(start + chunk, self.n)
             pb = stacked(X[start:stop])
-            for b in range(B):
-                hashers[b].update(np.ascontiguousarray(pb[b]).tobytes())
-            if S:
-                pos_counts += (
-                    (pb == 1).astype(np.float64)
-                    @ self._mask_matrix[start:stop]
-                )
+            pos_counts += (
+                (pb == 1).astype(np.float64) @ self._mask_matrix[start:stop]
+            )
             correct += (
                 (pb == self.y[start:stop]).astype(np.float64).sum(axis=1)
             )
 
         disparities = np.empty((B, self.k), dtype=np.float64)
         self._builtin_disparities(pos_counts, disparities)
-        accuracies = correct / self.n
-        # reconcile with the memoized-score cache: digests match the
-        # stacked-path keys byte for byte, so cached entries (from either
-        # path) serve identical values and fresh ones are stored for
-        # later in-memory lookups
-        cache = self._score_cache
-        self.stats["lookups"] += B
-        for b in range(B):
-            dig = hashers[b].digest()
-            cached = cache.pop(dig, None)
-            if cached is not None:
-                self.stats["hits"] += 1
-                disparities[b], accuracies[b] = cached
-            elif self.store is not None:
-                # the streaming pass already reduced the counts, so a
-                # store *get* saves nothing here — only publish
-                self._store_put(dig, disparities[b].copy(), accuracies[b])
-            if len(cache) >= EVAL_CACHE_MAX:
-                cache.pop(next(iter(cache)))
-            cache[dig] = (disparities[b].copy(), float(accuracies[b]))
-        return disparities, accuracies
+        return disparities, correct / self.n
 
 
 # -- batched candidate evaluation --------------------------------------------

@@ -51,7 +51,8 @@ class FitReport:
         Validation-side prediction-score cache traffic
         (:meth:`~repro.core.kernels.CompiledEvaluator.score_batch`);
         always 0 under the naive engine, which scores through the
-        uncached Python path.
+        uncached Python path.  Chunked population scoring does no
+        lookups, so a grid with ``chunk_size`` set reports 0 of 0.
     store_hits, store_lookups : int
         Persistent-store traffic (fit blobs + eval blobs combined) when
         the solve ran with ``Engine(store_dir=...)``; a store hit means

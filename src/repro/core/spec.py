@@ -152,7 +152,10 @@ class FairnessSpec:
         Returns one :class:`Constraint` per unordered group pair, in the
         order the grouping function yields groups.
         """
-        groups = self.grouping(dataset)
+        return self._bind_groups(self.grouping(dataset))
+
+    def _bind_groups(self, groups):
+        """The constraints of this spec over an evaluated grouping."""
         names = list(groups)
         constraints = []
         for g1, g2 in itertools.combinations(names, 2):
@@ -169,10 +172,18 @@ class FairnessSpec:
 
 
 def bind_specs(specs, dataset):
-    """Bind a list of specs to a dataset, concatenating their constraints."""
+    """Bind a list of specs to a dataset, concatenating their constraints.
+
+    Specs sharing a grouping object (one ``EO`` clause's FPR and FNR)
+    evaluate it once, so their constraints share the index arrays.
+    """
     constraints = []
+    groups = {}   # id(grouping) -> its groups on dataset
     for spec in specs:
-        constraints.extend(spec.bind(dataset))
+        key = id(spec.grouping)
+        if key not in groups:
+            groups[key] = spec.grouping(dataset)
+        constraints.extend(spec._bind_groups(groups[key]))
     if not constraints:
         raise SpecificationError("no constraints induced")
     return constraints

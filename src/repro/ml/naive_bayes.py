@@ -22,6 +22,10 @@ from .base import BaseClassifier, check_Xy, check_sample_weight
 
 __all__ = ["GaussianNaiveBayes"]
 
+#: bytes of one float64 ``(rows, 2B)`` score tile in
+#: :meth:`GaussianNaiveBayes.predict_batch`, sized to stay in L2 cache
+PREDICT_TILE_BYTES = 1 << 19
+
 
 class GaussianNaiveBayes(BaseClassifier):
     """Gaussian NB with weighted class priors and feature moments.
@@ -166,7 +170,9 @@ class GaussianNaiveBayes(BaseClassifier):
         Expands the per-class Gaussian quadratic form so the joint
         log-likelihoods of all ``B`` models reduce to two
         ``(n, d) @ (d, 2B)`` products:
-        ``jll = X²·(-1/2v) + X·(θ/v) + const``.
+        ``jll = X²·(-1/2v) + X·(θ/v) + const``, over row tiles of at most
+        :data:`PREDICT_TILE_BYTES` of scores centered on the whole ``X``,
+        so a row's label does not depend on the tiling.
 
         Returns an ``(B, n)`` int64 prediction matrix; rows equal
         ``models[b].predict(X)`` up to floating-point round-off.
@@ -176,20 +182,31 @@ class GaussianNaiveBayes(BaseClassifier):
         theta = np.stack([m.theta_ for m in models])        # (B, 2, d)
         var = np.stack([m.var_ for m in models])
         prior = np.stack([m.class_prior_ for m in models])  # (B, 2)
-        d = X.shape[1]
         # expand (x−θ)²/v around a shared center so large feature
         # offsets cancel before squaring (same stabilization as the
         # batch fit)
         center = X.mean(axis=0)
-        Xc = X - center
         theta_c = theta - center
-        quad = (-0.5 / var).reshape(B * 2, d)
-        lin = (theta_c / var).reshape(B * 2, d)
+        quad = (-0.5 / var).reshape(B * 2, -1).T
+        lin = (theta_c / var).reshape(B * 2, -1).T
         const = (
             np.log(np.maximum(prior, 1e-300))
             - 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=2)
             - 0.5 * np.sum(theta_c * theta_c / var, axis=2)
         ).reshape(B * 2)
-        scores = (Xc * Xc) @ quad.T + Xc @ lin.T + const    # (n, 2B)
-        scores = scores.reshape(len(X), B, 2)
-        return (scores[:, :, 1] >= scores[:, :, 0]).T.astype(np.int64)
+        out = np.empty((B, len(X)), dtype=np.int64)
+        # numpy hands a one-row product to BLAS's matrix-vector kernel,
+        # which rounds differently from the matrix-matrix kernel of a
+        # whole-X product, so no tile of a longer X is a single row
+        tile = max(2, PREDICT_TILE_BYTES // (16 * B))
+        bounds = list(range(0, len(X), tile)) + [len(X)]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            Xc = X[start:stop] - center
+            scores = (Xc * Xc) @ quad                        # (rows, 2B)
+            scores += Xc @ lin
+            scores += const
+            scores = scores.reshape(stop - start, B, 2)
+            out[:, start:stop] = (scores[:, :, 1] >= scores[:, :, 0]).T
+        return out

@@ -100,6 +100,14 @@ _REASONS = {
 #: should reject absurd requests instead of allocating for them
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: the ``(method, path)`` pairs served besides ``GET /jobs/<id>``; with
+#: ``GET /jobs/{id}`` and ``other`` they are the only ``/stats`` route keys
+_ROUTES = frozenset({
+    ("GET", "/healthz"), ("GET", "/models"), ("GET", "/stats"),
+    ("POST", "/predict"), ("POST", "/audit"), ("POST", "/retune"),
+    ("POST", "/update"),
+})
+
 
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays for json.dumps."""
@@ -359,9 +367,14 @@ class FairnessService:
         the ``service.dispatch`` fault site — inside the connection
         loop.
         """
-        self._routes[f"{method} {path.split('?')[0]}"] = (
-            self._routes.get(f"{method} {path.split('?')[0]}", 0) + 1
-        )
+        # never the raw client path: clients must not grow the key set
+        if (method, path) in _ROUTES:
+            label = f"{method} {path}"
+        elif method == "GET" and path.startswith("/jobs/"):
+            label = "GET /jobs/{id}"
+        else:
+            label = "other"
+        self._routes[label] = self._routes.get(label, 0) + 1
         try:
             inject("service.dispatch")
             body = {}
@@ -388,9 +401,7 @@ class FairnessService:
                 return 200, self._retune(body), {}
             if method == "POST" and path == "/update":
                 return 200, await self._update(body), {}
-            if path in ("/predict", "/audit", "/retune", "/update",
-                        "/healthz", "/models",
-                        "/stats") or path.startswith("/jobs/"):
+            if path in {p for _m, p in _ROUTES} or path.startswith("/jobs/"):
                 return 405, {"error": f"{method} not allowed on {path}"}, {}
             return 404, {"error": f"no route {method} {path}"}, {}
         except KeyError as exc:

@@ -18,7 +18,7 @@ from repro.core.kernels import CompiledEvaluator, evaluate_lambda_batch
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import Constraint, bind_specs
 from repro.datasets import available_scenarios, load_scenario
-from repro.ml import GaussianNaiveBayes
+from repro.ml import DecisionTree, GaussianNaiveBayes
 from repro.ml.model_selection import train_val_test_split
 
 BUILTIN_METRICS = sorted(METRIC_FACTORIES)
@@ -37,6 +37,34 @@ def _random_constraints(rng, n, y, k):
             label=f"c{i}",
         ))
     return constraints
+
+
+def _fitted_models(rng, X, y, B, mixed):
+    """B weighted fits on perturbed labels; every other one a tree when
+    ``mixed``, so the list has no shared ``predict_batch`` hook."""
+    n = len(y)
+    models = []
+    for b in range(B):
+        yb = np.where(rng.random(n) < 0.1, 1 - y, y)
+        wb = rng.uniform(0.2, 2.0, size=n)
+        proto = (DecisionTree(max_depth=3) if mixed and b % 2
+                 else GaussianNaiveBayes())
+        models.append(proto.fit(X, yb, sample_weight=wb))
+    return models
+
+
+def _block_predictions(models, X, chunk):
+    """The stacked predictions the streaming path scores: each row block
+    predicted on its own, through the batch hook when all models share
+    one."""
+    blocks = []
+    for start in range(0, len(X), chunk):
+        X_block = X[start:start + chunk]
+        if all(type(m) is GaussianNaiveBayes for m in models):
+            blocks.append(GaussianNaiveBayes.predict_batch(models, X_block))
+        else:
+            blocks.append(np.stack([m.predict(X_block) for m in models]))
+    return np.concatenate(blocks, axis=1)
 
 
 class TestEvaluatorBitIdentity:
@@ -73,44 +101,58 @@ class TestEvaluatorBitIdentity:
         with pytest.raises(ValueError, match="chunk_size"):
             CompiledEvaluator(c, y, chunk_size=0)
 
-    def test_streaming_model_scoring_matches_stacked(self):
-        rng = np.random.default_rng(5)
-        n, d, B = 300, 4, 5
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        B=st.integers(1, 6),
+        k=st.integers(1, 4),
+        chunk=st.integers(1, 400),
+        mixed=st.booleans(),
+    )
+    def test_streaming_model_scoring_matches_stacked(
+        self, seed, B, k, chunk, mixed
+    ):
+        # all-NB lists stream through the shared predict_batch hook; a
+        # mixed-type list takes the per-model predict fallback
+        rng = np.random.default_rng(seed)
+        n, d = 300, 4
         X = rng.normal(size=(n, d))
         y = (X[:, 0] > 0).astype(np.int64)
-        constraints = _random_constraints(rng, n, y, 3)
-        models = []
-        for b in range(B):
-            yb = np.where(rng.random(n) < 0.1, 1 - y, y)
-            wb = rng.uniform(0.2, 2.0, size=n)
-            models.append(GaussianNaiveBayes().fit(X, yb, sample_weight=wb))
-        preds = np.stack([m.predict(X) for m in models])
+        constraints = _random_constraints(rng, n, y, k)
+        models = _fitted_models(rng, X, y, B, mixed)
 
         full = CompiledEvaluator(constraints, y)
-        d_ref, a_ref = full.score_batch(preds)
-        for chunk in (1, 7, 64, n, 2 * n):
-            ev = CompiledEvaluator(constraints, y, chunk_size=chunk)
-            d_got, a_got = ev.score_models_batch(models, X)
-            assert np.array_equal(d_ref, d_got), chunk
-            assert np.array_equal(a_ref, a_got), chunk
+        d_ref, a_ref = full.score_batch(_block_predictions(models, X, chunk))
+        ev = CompiledEvaluator(constraints, y, chunk_size=chunk)
+        d_got, a_got = ev.score_models_batch(models, X)
+        assert np.array_equal(d_ref, d_got)
+        assert np.array_equal(a_ref, a_got)
 
-    def test_streaming_and_stacked_share_the_score_cache(self):
+    def test_streaming_scoring_bypasses_the_score_cache(self, tmp_path):
+        from repro.store import CacheStore
+
         rng = np.random.default_rng(9)
         n = 120
         X = rng.normal(size=(n, 3))
         y = (X[:, 0] > 0).astype(np.int64)
-        constraints = _random_constraints(rng, n, y, 1)
-        model = GaussianNaiveBayes().fit(X, y)
-        ev = CompiledEvaluator(constraints, y, chunk_size=32)
-        ev.score_models_batch([model], X)
-        assert ev.stats == {"hits": 0, "lookups": 1}
-        # the incremental SHA1 equals the stacked-path digest, so an
-        # in-memory re-score of the same predictions hits the cache
-        ev.score(model.predict(X))
-        assert ev.stats == {"hits": 1, "lookups": 2}
-        # and a second streaming pass hits it too
-        ev.score_models_batch([model], X)
-        assert ev.stats == {"hits": 2, "lookups": 3}
+        constraints = _random_constraints(rng, n, y, 2)
+        models = _fitted_models(rng, X, y, 3, mixed=False)
+        store = CacheStore(tmp_path)
+        ev = CompiledEvaluator(constraints, y, chunk_size=32, store=store)
+        d_stream, a_stream = ev.score_models_batch(models, X)
+        # no digest, no lookup, no publish: stats, cache and store untouched
+        assert ev.stats == {"hits": 0, "lookups": 0}
+        assert ev._score_cache == {}
+        assert store.stats()["puts"] == 0
+        # a later memoized score of the same predictions computes them
+        # afresh, bitwise equal to the streamed values
+        preds = _block_predictions(models, X, 32)
+        for b in range(len(models)):
+            d_b, a_b = ev.score(preds[b])
+            assert np.array_equal(d_b, d_stream[b])
+            assert a_b == a_stream[b]
+        assert ev.stats["hits"] == 0
+        assert ev.stats["lookups"] == len(models)
 
     def test_fallback_metric_uses_in_memory_path(self):
         # a custom metric must still be scored identically (full-vector

@@ -14,6 +14,8 @@ The contract under test (ISSUE 2 acceptance):
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from repro.core.weights import (
 from repro.datasets.synthetic import make_biased_dataset
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import accuracy_score
+from repro.ml import naive_bayes
 from repro.ml.model_selection import train_val_test_split
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.tree import DecisionTree
@@ -445,6 +448,106 @@ class TestEstimatorBatchHooks:
         batch = GaussianNaiveBayes.predict_batch(models, X)
         for b, model in enumerate(models):
             assert np.array_equal(batch[b], model.predict(X))
+
+
+def _untiled_nb_predict_batch(models, X):
+    """``GaussianNaiveBayes.predict_batch`` as one whole-matrix
+    expression: the oracle the row-tiled version must match bit for bit."""
+    B = len(models)
+    theta = np.stack([m.theta_ for m in models])
+    var = np.stack([m.var_ for m in models])
+    prior = np.stack([m.class_prior_ for m in models])
+    d = X.shape[1]
+    center = X.mean(axis=0)
+    Xc = X - center
+    theta_c = theta - center
+    quad = (-0.5 / var).reshape(B * 2, d)
+    lin = (theta_c / var).reshape(B * 2, d)
+    const = (
+        np.log(np.maximum(prior, 1e-300))
+        - 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=2)
+        - 0.5 * np.sum(theta_c * theta_c / var, axis=2)
+    ).reshape(B * 2)
+    scores = (Xc * Xc) @ quad.T + Xc @ lin.T + const
+    scores = scores.reshape(len(X), B, 2)
+    return (scores[:, :, 1] >= scores[:, :, 0]).T.astype(np.int64)
+
+
+def _nb_batch(rng, X, B):
+    """B fitted models whose two classes nearly tie: class 1 is class 0
+    nudged by a few ulps, so the label of most rows hangs on the last
+    bits of the scores and any change in rounding order flips some."""
+    n = len(X)
+    Y = rng.integers(0, 2, size=(B, n))
+    W = rng.uniform(0.1, 2.0, size=(B, n))
+    models = GaussianNaiveBayes().fit_weighted_batch(X, Y, W)
+    for m in models:
+        nudge = 1.0 + rng.integers(-4, 5, size=m.theta_.shape[1]) * 2e-16
+        m.theta_ = np.stack([m.theta_[0], m.theta_[0] * nudge])
+        m.var_ = np.stack([m.var_[0], m.var_[0]])
+        m.class_prior_ = np.array([0.5, 0.5])
+    return models
+
+
+class TestNaiveBayesTiledPredict:
+    """``predict_batch`` scores row tiles; every label equals the
+    whole-matrix expression bit for bit, whatever the tiling."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        B=st.sampled_from([1, 2, 5, 13]),
+        d=st.integers(1, 6),
+        tile=st.integers(2, 64),
+        rows=st.sampled_from(
+            ["one", "below", "at", "multiple", "lone_last_row", "ragged"]
+        ),
+        offset=st.sampled_from([0.0, 1e3, 1e6]),
+    )
+    def test_matches_untiled_expression(
+        self, seed, B, d, tile, rows, offset
+    ):
+        rng = np.random.default_rng(seed)
+        n = {
+            "one": 1,
+            "below": tile - 1,
+            "at": tile,
+            "multiple": 3 * tile,
+            "lone_last_row": 3 * tile + 1,
+            "ragged": 3 * tile + int(rng.integers(1, tile)),
+        }[rows]
+        scale = rng.uniform(0.1, 10.0, size=d)
+        X = rng.normal(size=(n, d)) * scale + offset * rng.integers(0, 2, d)
+        models = _nb_batch(rng, X, B)
+        with mock.patch.object(
+            naive_bayes, "PREDICT_TILE_BYTES", 16 * B * tile
+        ):
+            got = GaussianNaiveBayes.predict_batch(models, X)
+        assert np.array_equal(got, _untiled_nb_predict_batch(models, X))
+
+    def test_lone_last_row_matches_untiled_expression(self):
+        # a one-row last tile would round through BLAS's matrix-vector
+        # kernel; the tiling folds it into the tile before
+        rng = np.random.default_rng(0)
+        with mock.patch.object(naive_bayes, "PREDICT_TILE_BYTES", 16 * 65 * 2):
+            for _ in range(20):
+                X = rng.normal(size=(5, 3)) * rng.uniform(0.1, 10.0, size=3)
+                models = _nb_batch(rng, X, 65)
+                assert np.array_equal(
+                    GaussianNaiveBayes.predict_batch(models, X),
+                    _untiled_nb_predict_batch(models, X),
+                )
+
+    @pytest.mark.parametrize("B", [1, 65])
+    def test_default_tile_matches_untiled_expression(self, B):
+        rng = np.random.default_rng(B)
+        n = 2 * (naive_bayes.PREDICT_TILE_BYTES // (16 * B)) + 123
+        X = rng.normal(size=(n, 5)) + np.array([0.0, 1e6, 0.0, 1e3, 0.0])
+        models = _nb_batch(rng, X[:500], B)
+        assert np.array_equal(
+            GaussianNaiveBayes.predict_batch(models, X),
+            _untiled_nb_predict_batch(models, X),
+        )
 
 
 class TestEvaluateLambdaBatch:

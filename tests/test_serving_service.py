@@ -162,6 +162,17 @@ class TestErrorPaths:
             client._request("GET", "/predict")
         assert excinfo.value.status == 405
 
+    def test_route_labels_stay_bounded_under_junk_paths(self, client):
+        for i in range(500):
+            for path in (f"/junk/{i}", f"/jobs/{i}", f"/stats?x={i}"):
+                with pytest.raises(ServingError):
+                    client._request("GET", path)
+        routes = client.stats()["routes"]
+        assert set(routes) == {"other", "GET /jobs/{id}", "GET /stats"}
+        assert routes["other"] == 1000
+        assert routes["GET /jobs/{id}"] == 500
+        assert routes["GET /stats"] == 1
+
     def test_bad_retune_spec_is_400(self, client):
         with pytest.raises(ServingError) as excinfo:
             client.retune("SP <= banana", "scenario:group_sweep")

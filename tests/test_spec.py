@@ -6,7 +6,12 @@ import pytest
 from repro.core.exceptions import SpecificationError
 from repro.core.fairness_metrics import statistical_parity
 from repro.core.grouping import by_groups
-from repro.core.spec import Constraint, FairnessSpec, bind_specs
+from repro.core.spec import (
+    Constraint,
+    FairnessSpec,
+    bind_specs,
+    equalized_odds_specs,
+)
 from repro.datasets import make_biased_dataset
 
 
@@ -61,6 +66,42 @@ class TestBinding:
         ]
         constraints = bind_specs(specs, data3)
         assert [c.metric.name for c in constraints] == ["SP", "FNR"]
+
+    def test_shared_grouping_binds_once(self, data3):
+        # the FPR and FNR halves of one EO clause share a grouping object,
+        # so their constraints share the group index arrays
+        calls = []
+        grouping = by_groups("A", "B", "C")
+
+        def counted(dataset):
+            calls.append(1)
+            return grouping(dataset)
+
+        specs = [FairnessSpec(m, 0.05, grouping=counted) for m in ("FPR", "FNR")]
+        fpr, fnr = bind_specs(specs, data3)[::3]
+        assert len(calls) == 1
+        assert fpr.g1_idx is fnr.g1_idx and fpr.g2_idx is fnr.g2_idx
+        # specs with their own groupings still bind separately, to equal
+        # arrays
+        alone = bind_specs(equalized_odds_specs(0.05), data3)
+        assert alone[0].g1_idx is not alone[3].g1_idx
+        assert np.array_equal(alone[0].g1_idx, fpr.g1_idx)
+
+    def test_shared_grouping_leaves_lambda_unchanged(self):
+        from repro.api import Engine, Problem
+        from repro.datasets import load_scenario
+        from repro.ml import GaussianNaiveBayes
+
+        data = load_scenario("million_row", n=5000, seed=0)
+        engine = Engine("grid", grid_steps=8, grid_max=0.5)
+        shared = engine.solve(Problem("EO <= 0.05"), GaussianNaiveBayes(), data)
+        fpr, fnr = shared.report.train_constraints
+        assert fpr.g1_idx is fnr.g1_idx
+        separate = engine.solve(
+            Problem(equalized_odds_specs(0.05)), GaussianNaiveBayes(), data
+        )
+        assert np.array_equal(shared.report.lambdas, separate.report.lambdas)
+        assert np.any(shared.report.lambdas != 0.0)
 
     def test_labels_unique_and_informative(self, data3):
         constraints = FairnessSpec("SP", 0.03).bind(data3)
