@@ -20,8 +20,7 @@ the model is created through ``POST /retune`` exactly as a client
 would.  Both arms use the identical pipeline — the "off" arm is the
 batcher pinned to ``max_batch_size=1`` — so the measured gap is
 coalescing, not a different code path.  The committed
-``BENCH_serving.json`` shows the ≥ 2x headline throughput gain at 32
-clients.
+``BENCH_serving.json`` records the throughput gain at 32 clients.
 
 Run from the repository root::
 
@@ -63,23 +62,19 @@ ESTIMATOR = "NB"
 DATASET = "scenario:group_sweep"
 CLIENT_COUNTS = (1, 8, 32)
 MAX_BATCH_SIZE = 32
-MAX_WAIT_US = 2000
 ROWS_PER_REQUEST = 4
 
 
 class ServerProcess:
     """A ``repro serve`` subprocess; parses the ready line for the port."""
 
-    def __init__(self, *, batching, seed):
+    def __init__(self, *, batching):
         cmd = [
             sys.executable, "-m", "repro", "serve",
             "--host", "127.0.0.1", "--port", "0",
         ]
         if batching:
-            cmd += [
-                "--max-batch-size", str(MAX_BATCH_SIZE),
-                "--max-wait-us", str(MAX_WAIT_US),
-            ]
+            cmd += ["--max-batch-size", str(MAX_BATCH_SIZE)]
         else:
             cmd += ["--no-batching"]
         env = dict(os.environ)
@@ -151,7 +146,7 @@ def retune_and_dedup(client, rows, seed):
 
 def run_arm(*, batching, rows, seed, requests_per_client, pool_X, expected):
     label = "batching_on" if batching else "batching_off"
-    with ServerProcess(batching=batching, seed=seed) as server:
+    with ServerProcess(batching=batching) as server:
         with ServingClient("127.0.0.1", server.port) as client:
             retune = retune_and_dedup(client, rows, seed)
             stats_before = client.stats()
@@ -171,7 +166,6 @@ def run_arm(*, batching, rows, seed, requests_per_client, pool_X, expected):
         "knobs": {
             "batching": batching,
             "max_batch_size": MAX_BATCH_SIZE if batching else 1,
-            "max_wait_us": MAX_WAIT_US if batching else 0,
         },
         "retune": retune,
         "clients": by_clients,

@@ -3,12 +3,17 @@
 Production prediction traffic is many small concurrent requests against
 one model; per-request model invocation pays the fixed Python/numpy
 dispatch cost every time.  A :class:`MicroBatcher` puts an asyncio queue
-in front of each model: the first request opens a batch, the worker
-drains whatever else is queued (waiting at most ``max_wait_us`` for
-stragglers, up to ``max_batch_size`` requests), and the whole batch runs
-as **one** :meth:`FairModel.predict_batch` call — a stack, a single
-``predict`` pass, a split.  Results are bit-identical to per-request
-``predict`` because predictions are per-row.
+in front of each model.  Coalescing is work-conserving: a free worker
+takes the first queued request plus everything already queued behind it
+(up to ``max_batch_size`` requests) and runs the whole batch at once as
+**one** :meth:`FairModel.predict_batch` call — a stack, a single
+``predict`` pass, a split.  Requests that arrive while a batch is in the
+executor queue up and become the next batch, so batches grow with load,
+not with a timer.  Results are bit-identical to per-request ``predict``
+because predictions are per-row.
+
+There is no straggler timer: holding a batch open for late arrivals
+would add the whole wait to every request at low load.
 
 Each batcher owns a small thread pool (the *per-model worker pool*) so
 one model's slow predict cannot head-of-line-block another model, and
@@ -58,26 +63,28 @@ class MicroBatcher:
         Largest number of requests coalesced into one pass; 1 disables
         coalescing while keeping the identical pipeline.
     max_wait_us : int
-        How long an open batch waits for stragglers, in microseconds.
-        0 drains only already-queued requests.
+        Accepted for callers written against the former straggler wait;
+        only 0 is valid, since a batch never waits for stragglers.
     n_workers : int
         Worker tasks (and pool threads) for this model; >1 lets batches
         overlap.
     """
 
     def __init__(self, predict_batch, *, max_batch_size=32,
-                 max_wait_us=2000, n_workers=1, name="model"):
+                 max_wait_us=0, n_workers=1, name="model"):
         if int(max_batch_size) < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if int(max_wait_us) < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
+        if int(max_wait_us) != 0:
+            raise ValueError(
+                f"max_wait_us must be 0 (batching is work-conserving), "
+                f"got {max_wait_us}"
+            )
         if int(n_workers) < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.predict_batch = predict_batch
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_us = int(max_wait_us)
         self.n_workers = int(n_workers)
         self.name = name
         self._queue = None
@@ -193,7 +200,6 @@ class MicroBatcher:
                 for size, count in sorted(self._histogram.items())
             },
             "max_batch_size": self.max_batch_size,
-            "max_wait_us": self.max_wait_us,
             "queue_depth": self.queue_depth,
             "expired": self._n_expired,
             "batch_errors": self._n_batch_errors,
@@ -231,19 +237,6 @@ class MicroBatcher:
         while True:
             batch = [await self._queue.get()]
             self._drain_ready(batch)
-            if self.max_wait_us and len(batch) < self.max_batch_size:
-                deadline = loop.time() + self.max_wait_us / 1e6
-                while len(batch) < self.max_batch_size:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), remaining,
-                        ))
-                    except asyncio.TimeoutError:
-                        break
-                    self._drain_ready(batch)
             batch = self._drop_expired(batch)
             if not batch:
                 continue

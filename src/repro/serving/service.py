@@ -91,14 +91,24 @@ __all__ = ["FairnessService", "ServerHandle", "serve_in_thread"]
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    405: "Method Not Allowed", 413: "Content Too Large",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
 #: bound on inline payload sizes (rows × features) — a serving layer
 #: should reject absurd requests instead of allocating for them
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: bound on header lines per request; one more is answered with 431
+MAX_HEADERS = 100
+
+#: after a framing error the reply goes out with a FIN, then unread
+#: request bytes (at most twice ``MAX_BODY_BYTES``) are discarded for up
+#: to this long, so closing does not reset a client that is still
+#: sending and make it lose the reply
+LINGER_S = 1.0
 
 #: the ``(method, path)`` pairs served besides ``GET /jobs/<id>``; with
 #: ``GET /jobs/{id}`` and ``other`` they are the only ``/stats`` route keys
@@ -124,6 +134,19 @@ def _jsonable(obj):
 
 class _BadRequest(SpecificationError):
     """Client-side request error → HTTP 400."""
+
+
+class _BadFraming(Exception):
+    """A request the transport cannot frame → ``status``, then close.
+
+    Raised by :meth:`FairnessService._read_request` before any body is
+    read, so the connection's byte stream can no longer be trusted to
+    hold a next request.
+    """
+
+    def __init__(self, status, what):
+        super().__init__(what)
+        self.status = status
 
 
 class _Shed(Exception):
@@ -167,8 +190,10 @@ class FairnessService:
         Coalesce concurrent predicts through the micro-batcher.  False
         pins every batcher to ``max_batch_size=1`` — the identical
         pipeline without coalescing (the benchmark's off arm).
-    max_batch_size, max_wait_us, n_workers
-        Micro-batcher knobs, applied per model.
+    max_batch_size, n_workers
+        Micro-batcher knobs, applied per model.  A batch is whatever is
+        already queued when a worker is free; it never waits for
+        stragglers.
     backend : str
         Default execution backend for retune solves (requests may
         override per job).
@@ -192,7 +217,7 @@ class FairnessService:
     """
 
     def __init__(self, registry=None, *, batching=True, max_batch_size=32,
-                 max_wait_us=2000, n_workers=1, backend="serial",
+                 n_workers=1, backend="serial",
                  store_dir=None, max_inflight=256, max_jobs=32,
                  breaker_threshold=5, breaker_cooldown_s=30.0):
         resolve_backend(backend)  # fail fast on unknown backends
@@ -212,7 +237,6 @@ class FairnessService:
             self.store = CacheStore(store_dir)
         self.batching = bool(batching)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_us = int(max_wait_us)
         self.n_workers = int(n_workers)
         self.backend = backend
         self.max_inflight = int(max_inflight)
@@ -296,7 +320,16 @@ class FairnessService:
     async def _handle_connection(self, reader, writer):
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadFraming as exc:
+                    self._count("admitted")
+                    await self._respond(
+                        writer, exc.status, {"error": str(exc)}, {}, False,
+                    )
+                    self._count("errors")
+                    await self._linger(reader, writer)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -305,20 +338,7 @@ class FairnessService:
                     method, path, body,
                 )
                 keep_alive = headers.get("connection", "").lower() != "close"
-                data = json.dumps(_jsonable(payload)).encode()
-                extra_lines = "".join(
-                    f"{key}: {value}\r\n" for key, value in extra.items()
-                )
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{extra_lines}"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                    f"\r\n\r\n"
-                ).encode("latin-1")
-                writer.write(head + data)
-                await writer.drain()
+                await self._respond(writer, status, payload, extra, keep_alive)
                 self._count("completed" if status < 400 else "errors")
                 if not keep_alive:
                     break
@@ -334,24 +354,87 @@ class FairnessService:
                 pass
 
     @staticmethod
+    async def _respond(writer, status, payload, extra, keep_alive):
+        data = json.dumps(_jsonable(payload)).encode()
+        extra_lines = "".join(
+            f"{key}: {value}\r\n" for key, value in extra.items()
+        )
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"{extra_lines}"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"
+            f"\r\n\r\n"
+        ).encode("latin-1")
+        writer.write(head + data)
+        await writer.drain()
+
+    @staticmethod
+    async def _linger(reader, writer):
+        """Half-close, then drain the client's bytes (byte and time cap)."""
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def discard(budget):
+            while budget > 0:
+                chunk = await reader.read(min(budget, 1 << 16))
+                if not chunk:
+                    return
+                budget -= len(chunk)
+
+        try:
+            await asyncio.wait_for(discard(2 * MAX_BODY_BYTES), LINGER_S)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
+
+    @staticmethod
     async def _read_request(reader):
-        line = await reader.readline()
-        if not line or not line.strip():
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = raw.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
+        """Parse one request; None on a clean end of the stream.
+
+        Framing the body needs a trustworthy length, so a request is
+        refused with :class:`_BadFraming` — before its body is read —
+        for a malformed or negative ``Content-Length`` (400), a body
+        above ``MAX_BODY_BYTES`` (413), more than ``MAX_HEADERS`` header
+        lines or a line over the stream limit (431), and any
+        ``Transfer-Encoding`` (501; only ``Content-Length`` bodies are
+        served).
+        """
+        try:
+            line = await reader.readline()
+            if not line or not line.strip():
+                return None
+            parts = line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            method, path = parts[0].upper(), parts[1]
+            headers = {}
+            for _ in range(MAX_HEADERS + 1):
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                key, _, value = raw.decode("latin-1").partition(":")
+                headers[key.strip().lower()] = value.strip()
+            else:
+                raise _BadFraming(
+                    431, f"more than {MAX_HEADERS} header lines",
+                )
+        except ValueError:  # a line longer than the stream's limit
+            raise _BadFraming(431, "request line or header too long") from None
+        if "transfer-encoding" in headers:
+            raise _BadFraming(501, "Transfer-Encoding is not supported; "
+                                   "send a Content-Length body")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _BadFraming(400, f"malformed Content-Length {length!r}")
+        digits = length.lstrip("0") or "0"
+        # int() refuses over 4300 digits, so the digit count goes first
+        if (len(digits) > len(str(MAX_BODY_BYTES))
+                or int(digits) > MAX_BODY_BYTES):
+            raise _BadFraming(
+                413, f"request body above {MAX_BODY_BYTES} bytes",
+            )
+        length = int(digits)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
@@ -460,7 +543,6 @@ class FairnessService:
                 "max_batch_size": (
                     self.max_batch_size if self.batching else 1
                 ),
-                "max_wait_us": self.max_wait_us,
                 "per_model": batchers,
             },
             "registry": self.registry.stats(),
@@ -499,7 +581,6 @@ class FairnessService:
             batcher = MicroBatcher(
                 predict_chunks,
                 max_batch_size=self.max_batch_size if self.batching else 1,
-                max_wait_us=self.max_wait_us if self.batching else 0,
                 n_workers=self.n_workers,
                 name=name,
             )

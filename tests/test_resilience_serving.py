@@ -343,7 +343,6 @@ def _make_service(dataset, fair_model, **kwargs):
     )
     kwargs.setdefault("batching", True)
     kwargs.setdefault("max_batch_size", 16)
-    kwargs.setdefault("max_wait_us", 500)
     return FairnessService(registry=registry, **kwargs)
 
 

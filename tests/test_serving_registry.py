@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import FairModel
 from repro.core.exceptions import SpecificationError
@@ -299,7 +301,7 @@ class TestMicroBatcher:
             rng.normal(size=(int(rng.integers(1, 7)), 4)) for _ in range(40)
         ]
         results, stats = run_batched(
-            fair, chunks, max_batch_size=16, max_wait_us=5000,
+            fair, chunks, max_batch_size=16,
         )
         for chunk, got in zip(chunks, results):
             assert got.dtype == np.int64
@@ -311,7 +313,7 @@ class TestMicroBatcher:
         fair = make_fair_model(seed=6)
         chunks = [np.zeros((2, 4)) for _ in range(30)]
         _, stats = run_batched(
-            fair, chunks, max_batch_size=4, max_wait_us=5000,
+            fair, chunks, max_batch_size=4,
         )
         sizes = [int(size) for size in stats["histogram"]]
         assert max(sizes) <= 4
@@ -337,7 +339,7 @@ class TestMicroBatcher:
             raise RuntimeError("model exploded")
 
         async def main():
-            batcher = MicroBatcher(boom, max_batch_size=8, max_wait_us=5000)
+            batcher = MicroBatcher(boom, max_batch_size=8)
             await batcher.start()
             try:
                 results = await asyncio.gather(
@@ -357,6 +359,8 @@ class TestMicroBatcher:
             MicroBatcher(lambda c: c, max_batch_size=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda c: c, max_wait_us=-1)
+        with pytest.raises(ValueError, match="work-conserving"):
+            MicroBatcher(lambda c: c, max_wait_us=2000)
         with pytest.raises(ValueError):
             MicroBatcher(lambda c: c, n_workers=0)
 
@@ -369,8 +373,7 @@ class TestMicroBatcher:
 
         async def main():
             batcher = MicroBatcher(
-                fair.predict_batch, max_batch_size=32, max_wait_us=2000,
-                n_workers=2,
+                fair.predict_batch, max_batch_size=32, n_workers=2,
             )
             await batcher.start()
             try:
@@ -390,3 +393,112 @@ class TestMicroBatcher:
         for start, got in zip(starts, results):
             assert np.array_equal(got, fair.predict(X[start:start + 8]))
         assert stats["requests"] == len(starts)
+
+
+class _FrozenClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock stands still: no timer ever expires."""
+
+    def time(self):
+        return 0.0
+
+
+class TestWorkConservingDispatch:
+    def test_lone_request_runs_at_once_and_queued_ones_coalesce(self):
+        fair = make_fair_model(seed=9)
+        chunks = [np.full((1, 4), float(i)) for i in range(4)]
+        entered = threading.Event()
+        release = threading.Event()
+        sizes = []
+
+        def blocking_predict(batch):
+            sizes.append(len(batch))
+            entered.set()
+            if not release.wait(30):
+                raise RuntimeError("the test never released the batch")
+            return fair.predict_batch(batch)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(blocking_predict)  # default knobs
+            await batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.submit(chunks[0]))
+                # the loop clock never moves, so a batch held open by a
+                # straggler timer would never reach predict
+                reached = await loop.run_in_executor(None, entered.wait, 10)
+                assert reached, "a lone request waited for a timer"
+                assert sizes == [1]
+                rest = [asyncio.ensure_future(batcher.submit(chunk))
+                        for chunk in chunks[1:]]
+                await asyncio.sleep(0)  # each submit enqueues its entry
+                assert batcher.queue_depth == 3
+                release.set()
+                return await asyncio.gather(first, *rest), batcher.stats()
+            finally:
+                release.set()
+                await batcher.close()
+
+        loop = _FrozenClockLoop()
+        try:
+            results, stats = loop.run_until_complete(main())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
+        assert sizes == [1, 3]
+        assert stats["histogram"] == {"1": 1, "3": 1}
+        for chunk, got in zip(chunks, results):
+            assert np.array_equal(got, fair.predict(chunk))
+
+
+_PROPERTY_MODEL = make_fair_model(seed=12)
+_PROPERTY_POOL = np.random.default_rng(12).normal(size=(64, 4))
+
+
+class TestMicroBatcherProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bursts=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 5), min_size=1, max_size=6),
+                st.sampled_from([0.0, 0.0, 5e-5, 3e-4]),
+            ),
+            min_size=1, max_size=6,
+        ),
+        max_batch_size=st.integers(1, 8),
+        n_workers=st.integers(1, 3),
+    )
+    def test_any_arrival_pattern_answers_every_request_exactly(
+            self, bursts, max_batch_size, n_workers):
+        fair = _PROPERTY_MODEL
+        chunks = []
+        for sizes, _pause in bursts:
+            for n in sizes:
+                start = (7 * len(chunks)) % (len(_PROPERTY_POOL) - n)
+                chunks.append(_PROPERTY_POOL[start:start + n])
+
+        async def main():
+            batcher = MicroBatcher(
+                fair.predict_batch, max_batch_size=max_batch_size,
+                n_workers=n_workers,
+            )
+            await batcher.start()
+            try:
+                pending = iter(chunks)
+                futures = []
+                for sizes, pause in bursts:
+                    futures += [
+                        asyncio.ensure_future(batcher.submit(next(pending)))
+                        for _ in sizes
+                    ]
+                    await asyncio.sleep(pause)
+                return await asyncio.gather(*futures), batcher.stats()
+            finally:
+                await batcher.close()
+
+        results, stats = asyncio.run(main())
+        for chunk, got in zip(chunks, results):
+            assert np.array_equal(got, fair.predict(chunk))
+        histogram = {int(size): n for size, n in stats["histogram"].items()}
+        assert max(histogram) <= max_batch_size
+        assert sum(size * n for size, n in histogram.items()) == len(chunks)
+        assert stats["requests"] == len(chunks)

@@ -7,6 +7,9 @@ the registry on canonically-equivalent specs, and every error path must
 come back as a clean status code instead of a dead connection.
 """
 
+import asyncio
+import json
+import socket
 import threading
 
 import numpy as np
@@ -22,6 +25,8 @@ from repro.serving import (
     ServingError,
     serve_in_thread,
 )
+from repro.serving import service as service_module
+from repro.serving.service import MAX_BODY_BYTES, MAX_HEADERS
 
 SCENARIO_N = 1200
 SCENARIO_SEED = 5
@@ -48,7 +53,7 @@ def server(dataset, fair_model):
         "gs", fair_model, dataset_fingerprint=dataset.fingerprint(),
     )
     service = FairnessService(
-        registry=registry, batching=True, max_batch_size=16, max_wait_us=500,
+        registry=registry, batching=True, max_batch_size=16,
     )
     with serve_in_thread(service) as handle:
         yield handle
@@ -188,6 +193,124 @@ class TestErrorPaths:
         with pytest.raises(ServingError) as excinfo:
             client.job("999999")
         assert excinfo.value.status == 404
+
+
+def _raw_exchange(handle, data):
+    """Send raw bytes, then read until the server closes the socket.
+
+    No socket error is forgiven: after a refused request the server
+    half-closes and drains what the client still sends, so neither the
+    send nor the read may be reset.
+    """
+    with socket.create_connection((handle.host, handle.port), timeout=10) as s:
+        s.sendall(data)
+        out = b""
+        while chunk := s.recv(65536):
+            out += chunk
+    return out
+
+
+def _parse_reply(raw):
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(
+        (k.strip().lower(), v.strip())
+        for k, _, v in (line.partition(":") for line in lines)
+    )
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+@pytest.fixture()
+def loop_errors(server):
+    """Every context the serving loop's exception handler receives."""
+    seen = []
+
+    async def install():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: seen.append(context)
+        )
+
+    asyncio.run_coroutine_threadsafe(install(), server.loop).result(10)
+    return seen
+
+
+class TestRequestFraming:
+    """Bytes that cannot be framed get one status and a close."""
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"POST /predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: +5\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length:\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (MAX_BODY_BYTES + 1), 413),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+         + b"\r\n\r\n", 413),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-%d: y\r\n" % i for i in range(5000)) + b"\r\n",
+         431),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 200_000
+         + b"\r\n\r\n", 431),
+        (b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"5\r\nhello\r\n0\r\n\r\n", 501),
+        (b"POST /predict HTTP/1.1\r\nTransfer-Encoding: identity\r\n"
+         b"Content-Length: 2\r\n\r\n{}", 501),
+    ], ids=["length-abc", "length-negative", "length-signed",
+            "length-empty", "body-over-limit", "length-5000-digits",
+            "5000-headers", "line-over-limit", "chunked", "te-and-length"])
+    def test_unframeable_request_gets_status_then_close(
+            self, server, loop_errors, request_bytes, status):
+        # a second request on the same connection must not be answered
+        raw = _raw_exchange(
+            server,
+            request_bytes + b"GET /healthz HTTP/1.1\r\n\r\n",
+        )
+        got, headers, body = _parse_reply(raw)
+        assert got == status
+        assert headers["connection"] == "close"
+        assert "error" in body
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert loop_errors == []
+        # the server keeps serving new connections
+        raw = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert _parse_reply(raw)[0] == 200
+
+    def test_oversize_body_sent_in_full_still_reads_the_413(
+            self, server, loop_errors, monkeypatch):
+        # a small limit keeps the test cheap; any unread byte at close
+        # would make the kernel reset the connection
+        monkeypatch.setattr(service_module, "MAX_BODY_BYTES", 1 << 16)
+        body = b"x" * (1 << 20)
+        raw = _raw_exchange(
+            server,
+            b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body,
+        )
+        status, headers, reply = _parse_reply(raw)
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert str(1 << 16) in reply["error"]
+        assert loop_errors == []
+
+    def test_max_headers_and_zero_padded_length_are_served(
+            self, server, loop_errors, dataset, fair_model):
+        headers = b"".join(
+            b"X-%d: y\r\n" % i for i in range(MAX_HEADERS - 2)
+        )
+        rows = dataset.X[:3]
+        body = json.dumps({"model": "gs", "rows": rows.tolist()}).encode()
+        raw = _raw_exchange(
+            server,
+            b"POST /predict HTTP/1.1\r\n" + headers
+            + b"Connection: close\r\nContent-Length: 00%d\r\n\r\n"
+            % len(body) + body,
+        )
+        status, _, reply = _parse_reply(raw)
+        assert status == 200, reply
+        assert reply["predictions"] == fair_model.predict(rows).tolist()
+        assert loop_errors == []
 
 
 class TestRetune:
